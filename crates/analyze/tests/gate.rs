@@ -44,7 +44,6 @@ fn every_rule_fires_on_the_fixtures() {
         ("determinism", 2),
         ("typed-errors", 2),
         ("atomic-ordering-audit", 2),
-        ("epoch-pin-pairing", 1),
         ("wal-ordering", 2),
         ("failpoint-coverage", 4),
         ("manifest-stale-path", 1),
@@ -64,7 +63,7 @@ fn every_rule_fires_on_the_fixtures() {
         report.findings.iter().all(|f| !f.path.contains("excluded")),
         "manifest-excluded file leaked into the report"
     );
-    assert_eq!(report.files_scanned, 10);
+    assert_eq!(report.files_scanned, 9);
     // tests/arm.rs is indexed for the graph (failpoint arming evidence)
     // and marker hygiene, but is not a contract-scanned file.
     assert_eq!(report.test_files_indexed, 1);
@@ -124,7 +123,7 @@ fn sarif_report_is_written_and_byte_stable() {
     assert_eq!(first, second, "SARIF output must be byte-stable");
     assert!(first.contains("\"version\": \"2.1.0\""));
     assert!(first.contains("\"ruleId\": \"wal-ordering\""));
-    assert!(first.contains("\"uri\": \"src/epoch_sim.rs\""));
+    assert!(first.contains("\"uri\": \"src/persist_sim.rs\""));
 }
 
 #[test]

@@ -5,8 +5,8 @@
 
 use netclust_bench::{nagano_env, pct, print_table};
 use netclust_core::{
-    merge_by_name_suffix, org_purity, selective_validate, Clustering, SamplePlan, SelectiveMode,
-    StreamingClustering,
+    merge_by_name_suffix, org_purity, selective_validate, Clustering, ErrorCounts, SamplePlan,
+    SelectiveMode, StreamingClustering,
 };
 use netclust_prefix::Ipv4Net;
 
@@ -132,7 +132,11 @@ fn main() {
         &rows,
     );
     // Adapt to routing dynamics: swap in day 7's tables mid-flight.
-    stream.swap_table(netclust_netgen::standard_merged(&universe, 7));
+    let swap = stream.try_swap(
+        netclust_netgen::standard_merged(&universe, 7),
+        ErrorCounts::default(),
+    );
+    assert!(swap.accepted, "day-7 swap rejected: {:?}", swap.rejection);
     println!(
         "\nafter swapping in day-7 tables: {} clusters, coverage {} (rebuilt without replay)",
         stream.len(),

@@ -5,8 +5,8 @@
 //! re-advertise large table chunks at once (see PAPERS.md on routing-table
 //! dynamics). [`DeltaStream`] models exactly that shape as an infinite,
 //! seed-deterministic iterator of timestamped [`DeltaBatch`]es, so the
-//! incremental patch layer (`rtable::apply_delta`) and the epoch-swap
-//! seam in `core::stream` are drivable in tests, benches and the CLI's
+//! incremental patch layer (`rtable::apply_delta`) and the live-table
+//! patch path in `core::stream` are drivable in tests, benches and the CLI's
 //! `--bgp-feed synth:…` replay mode without any live feed.
 //!
 //! The stream tracks its own live/withdrawn prefix pools so the emitted

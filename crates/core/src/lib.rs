@@ -31,7 +31,6 @@ mod anomaly;
 mod cluster;
 mod config;
 mod dynamics;
-mod epoch;
 mod faults;
 mod fx;
 mod ingest;
@@ -53,7 +52,6 @@ pub use anomaly::{
 pub use cluster::{ClientStats, Cluster, Clustering};
 pub use config::RunConfig;
 pub use dynamics::{dynamics_analysis, DynamicsRow, LogDynamics, LogUnderStudy};
-pub use epoch::{EpochReader, EpochTable, MAX_READERS};
 pub use faults::{failpoints, FaultInjector, FaultPlan};
 pub use ingest::{IngestError, IngestPipeline, IngestReport, QuarantinedLine};
 pub use metrics::{cdf, cdf_at, Distributions, Summary};
@@ -73,8 +71,8 @@ pub use selfcorrect::{
 };
 pub use sessions::{session_report, SessionReport, SessionStats};
 pub use stream::{
-    PatchBatchReport, PatchStats, RestoreError, StreamHandle, StreamStats, StreamingBuilder,
-    StreamingClustering, SwapPolicy, SwapRejection, SwapReport, SwapStats,
+    PatchBatchReport, PatchStats, RestoreError, StreamStats, StreamingBuilder, StreamingClustering,
+    SwapPolicy, SwapRejection, SwapReport, SwapStats,
 };
 // The shared error-accounting shape carried by `IngestReport`, consumed by
 // `StreamingClustering::try_swap`, and produced by rtable's `ParseReport`;

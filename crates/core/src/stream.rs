@@ -18,17 +18,21 @@
 //! stale-table age recorded in [`SwapStats`].
 //!
 //! Between full swaps, live BGP churn lands **incrementally**:
-//! [`StreamingClustering::apply_deltas`] patches a copy of the serving
-//! table in place (`CompiledMerged::apply_delta`), re-resolves only the
-//! clients a batch can affect, and publishes the patched generation
-//! through an [`EpochTable`] — readers ([`StreamHandle`]) never block and
-//! never observe a torn table, and superseded generations are recycled
-//! (journal replay) instead of recompiled or recloned. The same
+//! [`StreamingClustering::apply_deltas`] patches a candidate off to the
+//! side (`CompiledMerged::apply_delta`), re-resolves only the clients a
+//! batch can affect, and installs the patched table as the serving one.
+//! The candidate is the previous generation, kept as a spare and caught
+//! up by replaying the one batch it missed, so a patch batch costs
+//! O(batch) instead of a full clone of the serving table. The same
 //! [`SwapPolicy`] entry/coverage gates are evaluated per patch batch, so a
 //! desynchronized feed degrades the stream no further than a bad snapshot
 //! would.
+//!
+//! The stream owns its serving table outright and does no synchronization
+//! of its own: a concurrent server wraps it in a `RwLock`, so a reader
+//! sees the table either before or after a whole batch, never a torn mix.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -41,16 +45,11 @@ use netclust_weblog::clf::ClfError;
 use netclust_weblog::clf_bytes;
 use netclust_weblog::Request;
 
-use crate::epoch::{EpochReader, EpochTable};
 use crate::faults::{failpoints, FaultInjector};
 use crate::persist::{CorrectionState, FeedProgress, StreamState};
 
-/// Patch-journal depth: a retired generation older than this many batches
-/// behind the serving one is cloned over instead of replayed.
-const JOURNAL_CAP: usize = 32;
-
 /// Resolved swap/patch-path observability handles (`stream.swap.*`,
-/// `stream.patch.*`, `stream.epoch.*`); inert when the stream was built
+/// `stream.patch.*`); inert when the stream was built
 /// without [`StreamingBuilder::obs`].
 #[derive(Debug, Clone, Default)]
 struct StreamObs {
@@ -64,8 +63,6 @@ struct StreamObs {
     patch_group_rebuilds: Counter,
     patch_recompiles: Counter,
     patch_batch_deltas: Histogram,
-    epoch_lag: Gauge,
-    epoch_retired: Gauge,
 }
 
 impl StreamObs {
@@ -81,62 +78,16 @@ impl StreamObs {
             patch_group_rebuilds: obs.counter("stream.patch.group_rebuilds"),
             patch_recompiles: obs.counter("stream.patch.recompiles"),
             patch_batch_deltas: obs.histogram("stream.patch.batch_deltas"),
-            epoch_lag: obs.gauge("stream.epoch.lag"),
-            epoch_retired: obs.gauge("stream.epoch.retired"),
         }
     }
 }
 
-/// One published generation of the serving table, tagged with its patch
-/// lineage version so retired generations can be caught up by journal
-/// replay instead of cloning.
+/// One generation of the serving table, tagged with its patch-lineage
+/// version (bumped by every accepted patch batch or full swap).
 #[derive(Clone)]
 struct LiveTable {
     table: CompiledMerged,
     version: u64,
-}
-
-/// A wait-free lookup handle over the serving table, for reader threads
-/// concurrent with [`StreamingClustering::apply_deltas`] /
-/// [`try_swap`](StreamingClustering::try_swap) on the owner. Lookups pin an
-/// epoch, never block the writer, and never observe a torn table; each
-/// handle owns one of the epoch table's reader slots
-/// ([`crate::epoch::MAX_READERS`]).
-#[derive(Debug)]
-pub struct StreamHandle {
-    reader: EpochReader<LiveTable>,
-}
-
-impl StreamHandle {
-    /// Longest-prefix cluster for `addr` under the current generation.
-    pub fn net_for(&self, addr: Ipv4Addr) -> Option<Ipv4Net> {
-        self.net_for_u32(u32::from(addr))
-    }
-
-    /// [`net_for`](Self::net_for) on a raw big-endian address.
-    pub fn net_for_u32(&self, addr: u32) -> Option<Ipv4Net> {
-        self.reader.with(|live| live.table.net_for_u32(addr))
-    }
-
-    /// Patch-lineage version of the generation currently serving (bumps on
-    /// every accepted patch batch or full swap).
-    pub fn version(&self) -> u64 {
-        self.reader.with(|live| live.version)
-    }
-
-    /// Live prefix count of the serving generation (both tiers).
-    pub fn table_len(&self) -> usize {
-        self.reader
-            .with(|live| live.table.bgp().len() + live.table.dump().len())
-    }
-}
-
-impl Clone for StreamHandle {
-    fn clone(&self) -> Self {
-        StreamHandle {
-            reader: self.reader.fork(),
-        }
-    }
 }
 
 /// Incremental per-cluster aggregates.
@@ -271,8 +222,6 @@ pub struct PatchBatchReport {
     /// Coverage after (the candidate's when accepted, the serving table's
     /// when rejected).
     pub coverage_after: f64,
-    /// The epoch after the operation (unchanged when rejected).
-    pub epoch: u64,
 }
 
 /// Cumulative [`apply_deltas`](StreamingClustering::apply_deltas)
@@ -337,17 +286,13 @@ impl StreamingBuilder {
         let mut compiled = self.table.compile();
         compiled.attach_obs(&self.obs);
         let metrics = StreamObs::resolve(&self.obs);
-        let table = EpochTable::new(LiveTable {
-            table: compiled,
-            version: 0,
-        });
-        let reader = table.reader();
         StreamingClustering {
-            table,
-            reader,
-            version: 0,
-            journal: VecDeque::new(),
-            journal_base: 0,
+            live: LiveTable {
+                table: compiled,
+                version: 0,
+            },
+            spare: None,
+            last_batch: Vec::new(),
             clusters: HashMap::new(),
             per_client: HashMap::new(),
             assignment: HashMap::new(),
@@ -396,25 +341,20 @@ impl std::error::Error for RestoreError {}
 /// The routing table is compiled once at construction to the flat DIR-24-8
 /// layout ([`CompiledMerged`]), so the per-request hot path does O(1)–O(2)
 /// array lookups; [`try_swap`](Self::try_swap) validates and recompiles,
-/// and [`apply_deltas`](Self::apply_deltas) patches incrementally. The
-/// serving table lives behind an [`EpochTable`], so [`handle`](Self::handle)
-/// lookups on other threads proceed wait-free through either.
+/// and [`apply_deltas`](Self::apply_deltas) patches incrementally.
 ///
 /// Construct with [`builder`](Self::builder):
 /// `StreamingClustering::builder(table).swap_policy(..).obs(..).build()`.
 pub struct StreamingClustering {
-    /// The serving table generations (epoch-reclaimed).
-    table: EpochTable<LiveTable>,
-    /// The owner's own lookup handle into `table`.
-    reader: EpochReader<LiveTable>,
-    /// Patch-lineage version of the serving generation.
-    version: u64,
-    /// Recently accepted delta batches; `journal[i]` advances version
-    /// `journal_base + i` to `journal_base + i + 1`. Replayed into recycled
-    /// generations so a patch batch does not clone the serving table.
-    journal: VecDeque<Vec<TableDelta>>,
-    /// Version the front of `journal` applies to.
-    journal_base: u64,
+    /// The table that serves every lookup.
+    live: LiveTable,
+    /// The previous generation (`live.version - 1`), recycled as the next
+    /// patch candidate so a batch does not clone `live`. `None` after a
+    /// rejected batch, a full swap, or a restore.
+    spare: Option<LiveTable>,
+    /// The batch that moved `spare` to `live`; replayed into `spare` to
+    /// catch it up.
+    last_batch: Vec<TableDelta>,
     /// Per-cluster aggregates.
     clusters: HashMap<Ipv4Net, StreamStats>,
     /// Per-client totals (kept so a table swap can rebuild assignments
@@ -453,15 +393,6 @@ impl StreamingClustering {
             table,
             policy: SwapPolicy::default(),
             obs: Obs::disabled(),
-        }
-    }
-
-    /// A wait-free lookup handle for reader threads: sees every accepted
-    /// swap and patch batch, never blocks on the writer, never observes a
-    /// torn table.
-    pub fn handle(&self) -> StreamHandle {
-        StreamHandle {
-            reader: self.table.reader(),
         }
     }
 
@@ -506,7 +437,7 @@ impl StreamingClustering {
         let prefix = *self
             .assignment
             .entry(client)
-            .or_insert_with(|| self.reader.with(|live| live.table.net_for_u32(client)));
+            .or_insert_with(|| self.live.table.net_for_u32(client));
         match prefix {
             Some(net) => {
                 let stats = self.clusters.entry(net).or_default();
@@ -554,7 +485,7 @@ impl StreamingClustering {
         let client = u32::from(addr);
         match self.assignment.get(&client) {
             Some(&memo) => memo,
-            None => self.reader.with(|live| live.table.net_for_u32(client)),
+            None => self.live.table.net_for_u32(client),
         }
     }
 
@@ -619,32 +550,12 @@ impl StreamingClustering {
     /// Patch-lineage version of the serving generation (bumps on every
     /// accepted patch batch or full swap).
     pub fn table_version(&self) -> u64 {
-        self.version
+        self.live.version
     }
 
     /// The most recent swap rejection, if any.
     pub fn last_rejection(&self) -> Option<SwapRejection> {
         self.last_rejection
-    }
-
-    /// Swaps in a fresh routing table unconditionally (adaptation to
-    /// routing dynamics): recompiles it and rebuilds the cluster view from
-    /// the retained per-client totals with one batch LPM sweep — no stream
-    /// replay needed. Prefer [`try_swap`](Self::try_swap), which validates
-    /// the candidate first.
-    pub fn swap_table(&mut self, table: MergedTable) {
-        let mut compiled = table.compile();
-        compiled.attach_obs(&self.obs);
-        // analyze:allow(determinism) install() aggregates commutatively per
-        // cluster; client order cannot reach any output.
-        let clients: Vec<u32> = self.per_client.keys().copied().collect();
-        let nets = compiled.net_for_batch(&clients);
-        self.install(compiled, clients, nets);
-        self.swap_stats.accepted += 1;
-        self.swap_stats.stale_age = 0;
-        self.metrics.attempts.inc();
-        self.metrics.accepted.inc();
-        self.metrics.stale_age.set(0);
     }
 
     /// Validated two-phase table swap: the candidate is sanity-checked and
@@ -676,14 +587,13 @@ impl StreamingClustering {
     }
 
     /// Applies one batch of per-prefix routing deltas incrementally: a
-    /// *copy* of the serving table (a recycled retired generation when one
-    /// is safe, caught up by journal replay) is patched in place
-    /// (`CompiledMerged::apply_delta`), only the clients the batch can
-    /// affect are re-resolved, and the [`SwapPolicy`] entry/coverage gates
-    /// run before the patched generation is published through the epoch
-    /// table. Rejection discards the candidate; the old generation keeps
-    /// serving and concurrent [`handle`](Self::handle) lookups never
-    /// blocked either way.
+    /// candidate table (the recycled spare caught up by replaying the last
+    /// batch, or a clone of the serving table when there is no spare) is
+    /// patched in place (`CompiledMerged::apply_delta`), only the clients
+    /// the batch can affect are re-resolved, and the [`SwapPolicy`]
+    /// entry/coverage gates run before the candidate replaces the serving
+    /// table. Rejection discards the candidate; the old table keeps
+    /// serving.
     pub fn apply_deltas(&mut self, deltas: &[TableDelta]) -> PatchBatchReport {
         self.apply_deltas_with(deltas, &mut FaultInjector::disabled())
     }
@@ -704,32 +614,24 @@ impl StreamingClustering {
                 accepted: true,
                 rejection: None,
                 patch: PatchReport::default(),
-                candidate_entries: self
-                    .reader
-                    .with(|live| live.table.bgp().len() + live.table.dump().len()),
+                candidate_entries: self.live.table.bgp().len() + self.live.table.dump().len(),
                 reassigned_clients: 0,
                 coverage_before,
                 coverage_after: coverage_before,
-                epoch: self.table.epoch(),
             };
         }
         self.patch_stats.batches += 1;
         self.metrics.patch_batches.inc();
         self.metrics.patch_batch_deltas.record(deltas.len() as u64);
 
-        // Build the candidate off to the side: recycle a retired
-        // generation when one is reclaimable and recent enough to catch up
-        // from the journal, otherwise clone the serving generation.
-        let mut candidate = match self.table.take_recycled() {
-            Some(mut stale) if stale.version >= self.journal_base => {
-                let skip = (stale.version - self.journal_base) as usize;
-                for batch in self.journal.iter().skip(skip) {
-                    stale.table.apply_delta(batch);
-                }
-                stale.version = self.version;
-                stale
+        // Build the candidate off to the side: recycle the spare, one batch
+        // behind the serving table, otherwise clone the serving table.
+        let mut candidate = match self.spare.take() {
+            Some(mut spare) => {
+                spare.table.apply_delta(&self.last_batch);
+                spare
             }
-            _ => self.reader.with(|live| live.clone()),
+            None => self.live.clone(),
         };
         let patch = candidate.table.apply_delta(deltas);
         self.patch_stats.slot_writes += patch.slot_writes() as u64;
@@ -758,12 +660,11 @@ impl StreamingClustering {
                 reassigned_clients: 0,
                 coverage_before,
                 coverage_after: coverage_before,
-                epoch: this.table.epoch(),
             }
         };
 
         // An injected (or real) mid-patch death: the half-patched candidate
-        // is dropped on the floor; the serving generation was never touched.
+        // is dropped on the floor; the serving table was never touched.
         if faults.should_fire(failpoints::TABLE_PATCH) {
             return reject(self, SwapRejection::PatchFault);
         }
@@ -836,16 +737,13 @@ impl StreamingClustering {
             }
         }
 
-        // Commit: journal the batch, publish the generation, and move the
-        // affected clients' aggregates between clusters.
-        self.version += 1;
-        candidate.version = self.version;
-        self.journal.push_back(deltas.to_vec());
-        if self.journal.len() > JOURNAL_CAP {
-            self.journal.pop_front();
-            self.journal_base += 1;
-        }
-        let epoch = self.table.publish(candidate);
+        // Commit: install the candidate, keep the old table as the spare the
+        // next batch recycles, and move the affected clients' aggregates
+        // between clusters.
+        candidate.version = self.live.version + 1;
+        self.spare = Some(std::mem::replace(&mut self.live, candidate));
+        self.last_batch.clear();
+        self.last_batch.extend_from_slice(deltas);
         let reassigned_clients = moves.len();
         for (client, old_net, new_net) in moves {
             let (requests, bytes) = self.per_client.get(&client).copied().unwrap_or((0, 0));
@@ -875,8 +773,6 @@ impl StreamingClustering {
         }
         self.patch_stats.accepted += 1;
         self.last_rejection = None;
-        self.metrics.epoch_lag.set(self.table.reader_lag());
-        self.metrics.epoch_retired.set(self.table.retired() as u64);
         PatchBatchReport {
             accepted: true,
             rejection: None,
@@ -885,7 +781,6 @@ impl StreamingClustering {
             reassigned_clients,
             coverage_before,
             coverage_after: self.coverage(),
-            epoch,
         }
     }
 
@@ -998,12 +893,8 @@ impl StreamingClustering {
     /// cumulative counter. `feed_pos` and `feed` are left zeroed for the
     /// feed driver to fill in. [`restore`](Self::restore) is the inverse.
     pub fn export_state(&self) -> StreamState {
-        let (bgp_prefixes, dump_prefixes) = self.reader.with(|live| {
-            (
-                live.table.bgp().live_prefixes(),
-                live.table.dump().live_prefixes(),
-            )
-        });
+        let bgp_prefixes = self.live.table.bgp().live_prefixes();
+        let dump_prefixes = self.live.table.dump().live_prefixes();
         // analyze:allow(determinism) collected then sorted by client below.
         let mut per_client: Vec<(u32, u64, u64)> = self
             .per_client
@@ -1012,7 +903,7 @@ impl StreamingClustering {
             .collect();
         per_client.sort_unstable_by_key(|&(client, _, _)| client);
         StreamState {
-            table_version: self.version,
+            table_version: self.live.version,
             feed_pos: 0,
             bgp_prefixes,
             dump_prefixes,
@@ -1101,17 +992,13 @@ impl StreamingClustering {
             });
         }
 
-        let table = EpochTable::new(LiveTable {
-            table: compiled,
-            version: state.table_version,
-        });
-        let reader = table.reader();
         Ok(StreamingClustering {
-            table,
-            reader,
-            version: state.table_version,
-            journal: VecDeque::new(),
-            journal_base: state.table_version,
+            live: LiveTable {
+                table: compiled,
+                version: state.table_version,
+            },
+            spare: None,
+            last_batch: Vec::new(),
             clusters,
             per_client,
             assignment,
@@ -1131,21 +1018,15 @@ impl StreamingClustering {
     /// Installs an already-compiled table, rebuilding cluster aggregates
     /// from the retained per-client totals and the batch LPM sweep
     /// (`nets[i]` is `clients[i]`'s assignment under the new table). A full
-    /// swap supersedes the patch lineage: the journal is cleared, so
-    /// retired pre-swap generations are never replayed into.
+    /// swap supersedes the patch lineage, so the spare is dropped: no batch
+    /// replay reaches the new table from it.
     fn install(&mut self, compiled: CompiledMerged, clients: Vec<u32>, nets: Vec<Option<Ipv4Net>>) {
-        self.version += 1;
-        self.journal.clear();
-        self.journal_base = self.version;
-        self.table.publish(LiveTable {
+        self.live = LiveTable {
             table: compiled,
-            version: self.version,
-        });
-        // Pre-swap generations are useless as recycling spares (the journal
-        // no longer reaches them); free what readers allow.
-        self.table.try_reclaim();
-        self.metrics.epoch_lag.set(self.table.reader_lag());
-        self.metrics.epoch_retired.set(self.table.retired() as u64);
+            version: self.live.version + 1,
+        };
+        self.spare = None;
+        self.last_batch.clear();
         self.assignment.clear();
         self.clusters.clear();
         self.unclustered_requests = 0;
@@ -1262,7 +1143,11 @@ mod tests {
         let before_total = stream.total_requests();
         // Swap to day 7's table: the view must equal a batch clustering
         // against that table.
-        stream.swap_table(standard_merged(&u, 7));
+        let report = stream.try_swap(standard_merged(&u, 7), ErrorCounts::default());
+        assert!(report.accepted, "rejected: {:?}", report.rejection);
+        assert_eq!(stream.swap_stats().accepted, 1);
+        assert_eq!(stream.swap_stats().stale_age, 0);
+        assert_eq!(stream.last_rejection(), None);
         assert_eq!(stream.total_requests(), before_total);
         let batch = Clustering::network_aware(&log, &standard_merged(&u, 7));
         assert_eq!(stream.len(), batch.len());
@@ -1270,29 +1155,6 @@ mod tests {
             let s = stream.stats(cluster.prefix).expect("present after swap");
             assert_eq!(s.requests, cluster.requests);
         }
-    }
-
-    #[test]
-    fn validated_swap_equals_unconditional_swap() {
-        let (u, log) = setup();
-        let mut validated = StreamingClustering::builder(standard_merged(&u, 0)).build();
-        let mut legacy = StreamingClustering::builder(standard_merged(&u, 0)).build();
-        for r in &log.requests {
-            validated.push(r);
-            legacy.push(r);
-        }
-        let report = validated.try_swap(standard_merged(&u, 7), ErrorCounts::default());
-        assert!(report.accepted, "rejected: {:?}", report.rejection);
-        legacy.swap_table(standard_merged(&u, 7));
-        // Accepted validated swap is byte-identical to the unconditional
-        // rebuild from retained per-client totals.
-        assert_eq!(validated.total_requests(), legacy.total_requests());
-        assert_eq!(validated.len(), legacy.len());
-        assert_eq!(validated.top_k(usize::MAX), legacy.top_k(usize::MAX));
-        assert!((validated.coverage() - legacy.coverage()).abs() < 1e-12);
-        assert_eq!(validated.swap_stats().accepted, 1);
-        assert_eq!(validated.swap_stats().stale_age, 0);
-        assert_eq!(validated.last_rejection(), None);
     }
 
     #[test]
@@ -1404,16 +1266,16 @@ mod tests {
     /// from-scratch re-resolution of every retained client against the
     /// serving table — the incremental aggregate moves cannot drift.
     fn assert_view_consistent(stream: &StreamingClustering) {
-        let handle = stream.handle();
+        let live = &stream.live.table;
         let mut clusters: HashMap<Ipv4Net, StreamStats> = HashMap::new();
         let mut unclustered = 0u64;
         for (&client, &(requests, bytes)) in &stream.per_client {
             assert_eq!(
                 stream.assignment.get(&client).copied(),
-                Some(handle.net_for_u32(client)),
+                Some(live.net_for_u32(client)),
                 "memoized assignment for {client:#010x} disagrees with the serving table"
             );
-            match handle.net_for_u32(client) {
+            match live.net_for_u32(client) {
                 Some(net) => {
                     let s = clusters.entry(net).or_default();
                     s.clients += 1;
@@ -1436,7 +1298,6 @@ mod tests {
         }
         assert_view_consistent(&stream);
         let before_total = stream.total_requests();
-        let handle = stream.handle();
 
         // Withdraw the busiest cluster's prefix: its clients must remap to
         // a covering prefix or become unclustered, everyone else untouched.
@@ -1459,9 +1320,9 @@ mod tests {
         assert_eq!(stream.total_requests(), before_total);
         assert_view_consistent(&stream);
 
-        // The stream's own epoch handle tracked both publishes.
+        // The serving table tracked both batches.
         assert_eq!(stream.table_version(), 2);
-        assert_eq!(handle.version(), 2);
+        assert_eq!(stream.live.version, 2);
         let stats = stream.patch_stats();
         assert_eq!(stats.batches, 2);
         assert_eq!(stats.accepted, 2);
@@ -1506,7 +1367,8 @@ mod tests {
             netclust_rtable::TableKind::NetworkDump,
             merged.dump_prefixes(),
         );
-        swapped.swap_table(MergedTable::merge([&bgp, &dump]));
+        let swap = swapped.try_swap(MergedTable::merge([&bgp, &dump]), ErrorCounts::default());
+        assert!(swap.accepted, "rejected: {:?}", swap.rejection);
         assert_eq!(patched.top_k(usize::MAX), swapped.top_k(usize::MAX));
         assert!((patched.coverage() - swapped.coverage()).abs() < 1e-12);
         assert_view_consistent(&patched);
@@ -1606,7 +1468,67 @@ mod tests {
                 > 0
         );
         assert!(snap.histograms.contains_key("stream.patch.batch_deltas"));
-        assert_eq!(snap.gauges.get("stream.epoch.lag"), Some(&0));
+    }
+
+    /// The patch path recycles the previous generation instead of cloning
+    /// the serving table: the spare survives every accepted batch one
+    /// version behind, and every path that breaks the batch lineage drops
+    /// it.
+    #[test]
+    fn spare_is_recycled_across_batches_and_dropped_when_lineage_breaks() {
+        let (u, log) = setup();
+        let mut stream = StreamingClustering::builder(standard_merged(&u, 0)).build();
+        for r in &log.requests {
+            stream.push(r);
+        }
+        let spare_version = |s: &StreamingClustering| s.spare.as_ref().map(|t| t.version);
+        assert_eq!(spare_version(&stream), None);
+        let (busiest, _) = stream.top_k(1)[0];
+
+        // Accepted batches: the old serving table becomes the spare, and
+        // the next batch recycles it (replaying the batch it missed).
+        for (i, delta) in [TableDelta::withdraw(busiest), TableDelta::announce(busiest)]
+            .into_iter()
+            .enumerate()
+        {
+            let report = stream.apply_deltas(&[delta]);
+            assert!(report.accepted, "batch {i}: {:?}", report.rejection);
+            assert_eq!(spare_version(&stream), Some(stream.live.version - 1));
+            assert_eq!(stream.last_batch, vec![delta]);
+            assert_view_consistent(&stream);
+        }
+
+        // A faulted batch consumed the spare as its candidate and dropped
+        // it; the next accepted batch clones and leaves a fresh spare.
+        let mut faults = crate::FaultPlan::new(7)
+            .with(failpoints::TABLE_PATCH, 1.0)
+            .injector();
+        let withdraw = [TableDelta::withdraw(busiest)];
+        let report = stream.apply_deltas_with(&withdraw, &mut faults);
+        assert_eq!(report.rejection, Some(SwapRejection::PatchFault));
+        assert_eq!(spare_version(&stream), None);
+        assert!(stream.apply_deltas(&withdraw).accepted);
+        assert_eq!(spare_version(&stream), Some(stream.live.version - 1));
+        assert_view_consistent(&stream);
+
+        // A full swap supersedes the lineage.
+        let report = stream.try_swap(standard_merged(&u, 7), ErrorCounts::default());
+        assert!(report.accepted, "rejected: {:?}", report.rejection);
+        assert_eq!(spare_version(&stream), None);
+        assert!(stream.last_batch.is_empty());
+
+        // So does a restore, even from a stream that held a spare.
+        assert!(stream.apply_deltas(&withdraw).accepted);
+        assert!(stream.spare.is_some());
+        let restored = StreamingClustering::restore(
+            &stream.export_state(),
+            SwapPolicy::default(),
+            Obs::disabled(),
+        )
+        .expect("exported state restores");
+        assert_eq!(restored.table_version(), stream.table_version());
+        assert_eq!(spare_version(&restored), None);
+        assert_view_consistent(&restored);
     }
 
     #[test]

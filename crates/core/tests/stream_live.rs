@@ -1,18 +1,18 @@
 //! Live-update integration tests for the streaming clustering: an 8-seed
 //! fault sweep over [`failpoints::TABLE_PATCH`] proving every injected
 //! mid-patch death leaves the old generation serving untouched, and a
-//! multi-threaded reader test proving [`StreamHandle`] lookups proceed —
-//! never blocking, never observing a torn table — while the owner applies
-//! 1,000 delta batches under epoch-based reclamation.
+//! multi-threaded reader test proving lookups through the daemon's
+//! `RwLock<StreamingClustering>` keep making progress — never observing a
+//! torn table — while the owner applies 1,000 delta batches.
 
+use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier, RwLock};
 use std::thread;
 
 use netclust_bgpsim::{DeltaStream, DeltaStreamConfig};
 use netclust_core::{failpoints, FaultPlan, StreamingClustering, SwapRejection};
 use netclust_netgen::{standard_merged, Universe, UniverseConfig};
-use netclust_obs::Obs;
 use netclust_prefix::Ipv4Net;
 use netclust_rtable::{MergedTable, RoutingTable, TableDelta, TableKind};
 use netclust_weblog::{generate, LogSpec};
@@ -112,16 +112,21 @@ fn fault_sweep_rollback_leaves_old_generation_intact() {
             "seed {seed}"
         );
         assert!((stream.coverage() - mirror.coverage()).abs() < 1e-12);
-        let (h, hm) = (stream.handle(), mirror.handle());
         for addr in probes(&standard_merged(&u, 0).bgp_prefixes()) {
-            assert_eq!(h.net_for_u32(addr), hm.net_for_u32(addr), "seed {seed}");
+            let addr = Ipv4Addr::from(addr);
+            assert_eq!(
+                stream.lookup_net(addr),
+                mirror.lookup_net(addr),
+                "seed {seed}"
+            );
         }
     }
 }
 
-/// Acceptance criterion: reader threads keep resolving lookups — wait-free,
-/// no torn reads — while the owner applies 1,000 patch batches, with epoch
-/// reclamation bounding retired generations the whole way.
+/// Reader threads keep resolving lookups through the shared
+/// `RwLock<StreamingClustering>` — no torn reads, versions monotone — while
+/// the owner applies 1,000 patch batches, taking the write lock per batch
+/// exactly as `netclustd` does.
 #[test]
 fn readers_proceed_while_writer_applies_1k_batches() {
     // A churn pool the feed mutates freely, plus a canary prefix the feed
@@ -141,10 +146,7 @@ fn readers_proceed_while_writer_applies_1k_batches() {
     let mut prefixes = feed.live_prefixes();
     prefixes.push(canary);
     let bgp = RoutingTable::new("live", "d0", TableKind::Bgp, prefixes);
-    let obs = Obs::enabled();
-    let mut stream = StreamingClustering::builder(MergedTable::merge([&bgp]))
-        .obs(obs.clone())
-        .build();
+    let mut stream = StreamingClustering::builder(MergedTable::merge([&bgp])).build();
     // All clients live under the canary, so churn in the pool can never
     // collapse coverage and every batch passes the gates.
     let mut clf = String::new();
@@ -155,48 +157,66 @@ fn readers_proceed_while_writer_applies_1k_batches() {
     }
     assert!(stream.push_clf(clf.as_bytes()).is_empty());
     assert_eq!(stream.coverage(), 1.0);
+    let stream = Arc::new(RwLock::new(stream));
 
+    // Every reader completes one lookup before the writer starts, so all
+    // three are inside their loops for the whole batch run.
+    let start = Arc::new(Barrier::new(4));
     let stop = Arc::new(AtomicBool::new(false));
     let mut readers = Vec::new();
     for _ in 0..3 {
-        let h = stream.handle();
+        let stream = Arc::clone(&stream);
+        let start = Arc::clone(&start);
         let stop = Arc::clone(&stop);
         readers.push(thread::spawn(move || {
             let mut iterations = 0u64;
             let mut last_version = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            loop {
+                let s = stream.read().expect("stream lock poisoned");
                 // The canary always resolves to a prefix covering it (the
                 // canary itself, or a longer match the feed announced).
-                let net = h
-                    .net_for_u32(canary_probe)
+                let net = s
+                    .lookup_net(Ipv4Addr::from(canary_probe))
                     .expect("canary probe must always resolve");
                 assert!(net.contains_u32(canary_probe), "torn read: {net}");
-                // Versions observed through the handle never go backwards.
-                let v = h.version();
+                // Versions observed across read locks never go backwards.
+                let v = s.table_version();
                 assert!(v >= last_version, "version regressed {last_version}->{v}");
                 last_version = v;
                 // Churn-pool probes either miss or resolve to a covering
                 // prefix — a torn table would violate containment.
                 let addr = 0x0A00_0000u32.wrapping_add((iterations as u32).wrapping_mul(8_191));
-                if let Some(net) = h.net_for_u32(addr) {
+                if let Some(net) = s.lookup_net(Ipv4Addr::from(addr)) {
                     assert!(net.contains_u32(addr), "torn read: {net} for {addr:#x}");
                 }
+                drop(s);
                 iterations += 1;
+                if iterations == 1 {
+                    start.wait();
+                }
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
             }
             (iterations, last_version)
         }));
     }
+    start.wait();
 
     let mut accepted = 0u64;
     for _ in 0..1_000 {
         let batch = feed.next_batch();
-        let report = stream.apply_deltas(&batch.deltas);
+        let report = stream
+            .write()
+            .expect("stream lock poisoned")
+            .apply_deltas(&batch.deltas);
         assert!(report.accepted, "rejected: {:?}", report.rejection);
         if !batch.deltas.is_empty() {
             accepted += 1;
         }
     }
     stop.store(true, Ordering::Relaxed);
+    let stream = stream.read().expect("stream lock poisoned");
     let mut total_reads = 0u64;
     for r in readers {
         let (iterations, last_version) = r.join().expect("reader thread panicked");
@@ -206,17 +226,6 @@ fn readers_proceed_while_writer_applies_1k_batches() {
     assert!(total_reads > 0, "readers never made progress");
     assert_eq!(stream.table_version(), accepted);
     assert_eq!(stream.patch_stats().accepted, accepted);
-
-    // Epoch reclamation kept the retired list bounded (steady state is one
-    // recycling spare, transiently more while a reader pins an old epoch).
-    let snap = obs.snapshot(true);
-    let retired = snap
-        .gauges
-        .get("stream.epoch.retired")
-        .copied()
-        .unwrap_or(0);
-    assert!(retired <= 8, "retired generations unbounded: {retired}");
     // The canary survives the entire run in the serving table.
-    let h = stream.handle();
-    assert!(h.net_for_u32(canary_probe).is_some());
+    assert!(stream.lookup_net(Ipv4Addr::from(canary_probe)).is_some());
 }
